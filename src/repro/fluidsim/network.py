@@ -184,17 +184,25 @@ class FluidNetwork:
         path_pool: int = 64,
     ) -> FluidConnection:
         """Add a connection using up to ``n_subflows`` distinct paths,
-        sampled ECMP-style from up to ``path_pool`` enumerated paths."""
+        sampled ECMP-style from up to ``path_pool`` enumerated paths.
+
+        The draw reads only the candidate count, then builds just the
+        chosen paths (the topology's sequence may be lazy).
+        """
         if self._finalized:
             raise ConfigurationError("network already finalized")
+        if n_subflows < 1:
+            raise ConfigurationError(f"n_subflows must be >= 1, got {n_subflows}")
+        if path_pool < 1:
+            raise ConfigurationError(f"path_pool must be >= 1, got {path_pool}")
         candidates = self.topology.paths(src, dst, max(n_subflows, path_pool))
         if not candidates:
             raise ConfigurationError(f"no path between {src} and {dst}")
         if len(candidates) > n_subflows:
             chosen = self._path_rng.choice(len(candidates), size=n_subflows, replace=False)
-            paths = [candidates[int(i)] for i in sorted(chosen)]
+            paths = [candidates[i] for i in sorted(chosen.tolist())]
         else:
-            paths = candidates
+            paths = list(candidates)
         conn = FluidConnection(
             index=len(self.connections),
             src=src,

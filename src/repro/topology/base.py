@@ -12,7 +12,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.errors import RoutingError
+from repro.errors import ConfigurationError, RoutingError
 
 
 @dataclass(frozen=True)
@@ -103,9 +103,25 @@ class DcTopology(ABC):
 
     # -------------------------------------------------------------- interface
 
+    def paths(self, src_host: str, dst_host: str, max_paths: int) -> Sequence[PathSpec]:
+        """Up to ``max_paths`` distinct forward paths between two hosts.
+
+        The result is a :class:`~typing.Sequence` in a fixed enumeration
+        order with the prefix property ``paths(s, d, m) ==
+        paths(s, d, M)[:m]`` for ``m <= M``. It may be built lazily
+        (the fat-tree builds each path on read), so a caller that
+        samples indices from ``len()`` pays only for the items it
+        reads; copy it with ``list()`` to keep it.
+        """
+        if max_paths < 1:
+            raise ConfigurationError(f"max_paths must be >= 1, got {max_paths}")
+        if src_host == dst_host:
+            raise ConfigurationError("src and dst must differ")
+        return self._paths(src_host, dst_host, max_paths)
+
     @abstractmethod
-    def paths(self, src_host: str, dst_host: str, max_paths: int) -> List[PathSpec]:
-        """Up to ``max_paths`` distinct forward paths between two hosts."""
+    def _paths(self, src_host: str, dst_host: str, max_paths: int) -> Sequence[PathSpec]:
+        """:meth:`paths` for two distinct hosts and ``max_paths >= 1``."""
 
     @property
     def n_links(self) -> int:

@@ -112,9 +112,7 @@ class BCube(DcTopology):
 
     # -------------------------------------------------------------- interface
 
-    def paths(self, src_host: str, dst_host: str, max_paths: int) -> List[PathSpec]:
-        if src_host == dst_host:
-            raise ConfigurationError("src and dst must differ")
+    def _paths(self, src_host: str, dst_host: str, max_paths: int) -> List[PathSpec]:
         src = self.host_digits(src_host)
         dst = self.host_digits(dst_host)
         levels = list(range(self.k + 1))

@@ -45,12 +45,6 @@ class Ec2Cloud(DcTopology):
                                      "host-sw", "sw-host")
         self.fabric_bps = fabric_bps
 
-    def paths(self, src_host: str, dst_host: str, max_paths: int) -> List[PathSpec]:
-        if src_host == dst_host:
-            raise ConfigurationError("src and dst must differ")
-        out: List[PathSpec] = []
-        for subnet in self.subnets[: max(1, max_paths)]:
-            out.append(self.path_from_nodes([src_host, subnet, dst_host]))
-            if len(out) >= max_paths:
-                break
-        return out
+    def _paths(self, src_host: str, dst_host: str, max_paths: int) -> List[PathSpec]:
+        return [self.path_from_nodes([src_host, subnet, dst_host])
+                for subnet in self.subnets[:max_paths]]

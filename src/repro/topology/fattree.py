@@ -12,7 +12,8 @@ the aggregation switch, then the core switch); within a pod there are k/2
 
 from __future__ import annotations
 
-from typing import List
+import operator
+from typing import List, Sequence
 
 from repro.errors import ConfigurationError
 from repro.topology.base import DcTopology, PathSpec
@@ -68,41 +69,56 @@ class FatTree(DcTopology):
                         agg_name, core_name, link_bps, link_delay, "sw-sw", "sw-sw"
                     )
 
-    def paths(self, src_host: str, dst_host: str, max_paths: int) -> List[PathSpec]:
-        if src_host == dst_host:
-            raise ConfigurationError("src and dst must differ")
-        half = self.k // 2
-        sp, se = self._host_pod[src_host], self._host_edge[src_host]
-        dp, de = self._host_pod[dst_host], self._host_edge[dst_host]
-        out: List[PathSpec] = []
-        if sp == dp and se == de:
-            out.append(
-                self.path_from_nodes([src_host, self.edge[sp][se], dst_host])
-            )
-            return out[:max_paths]
-        if sp == dp:
-            for a_i in range(half):
-                out.append(
-                    self.path_from_nodes(
-                        [src_host, self.edge[sp][se], self.agg[sp][a_i],
-                         self.edge[dp][de], dst_host]
-                    )
-                )
-                if len(out) >= max_paths:
-                    return out
-            return out
-        for a_i in range(half):
-            for c_i in range(half):
-                core_name = self.core[a_i * half + c_i]
-                out.append(
-                    self.path_from_nodes(
-                        [src_host, self.edge[sp][se], self.agg[sp][a_i], core_name,
-                         self.agg[dp][a_i], self.edge[dp][de], dst_host]
-                    )
-                )
-                if len(out) >= max_paths:
-                    return out
-        return out
+    def _paths(self, src_host: str, dst_host: str, max_paths: int) -> FatTreePaths:
+        return FatTreePaths(self, src_host, dst_host, max_paths)
+
+
+class FatTreePaths(Sequence[PathSpec]):
+    """The equal-cost paths between two fat-tree hosts, each built on read.
+
+    Enumeration order: cross-pod path ``i`` climbs through aggregation
+    switch ``a = i // (k/2)`` and core switch ``i`` of group ``a``;
+    same-pod path ``i`` bounces off aggregation switch ``i``; hosts on
+    one edge switch have the single path through it. Item ``i`` is
+    built from that closed form alone, so a caller that samples a few
+    indices out of the (k/2)^2 never pays for the rest.
+    """
+
+    __slots__ = ("_topo", "_src", "_dst", "_src_pod", "_dst_pod", "_up", "_down", "_len")
+
+    def __init__(self, topo: FatTree, src_host: str, dst_host: str, max_paths: int):
+        half = topo.k // 2
+        sp, dp = topo._host_pod[src_host], topo._host_pod[dst_host]
+        up = topo.edge[sp][topo._host_edge[src_host]]
+        down = topo.edge[dp][topo._host_edge[dst_host]]
+        n = half * half if sp != dp else half if up != down else 1
+        self._topo = topo
+        self._src, self._dst = src_host, dst_host
+        self._src_pod, self._dst_pod = sp, dp
+        self._up, self._down = up, down
+        self._len = min(n, max_paths)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self._len))]
+        i = operator.index(index)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError(f"path index {index} out of range for {self._len} paths")
+        t, sp, dp = self._topo, self._src_pod, self._dst_pod
+        src, dst, up, down = self._src, self._dst, self._up, self._down
+        if sp != dp:
+            a_i = i // (t.k // 2)
+            nodes = [src, up, t.agg[sp][a_i], t.core[i], t.agg[dp][a_i], down, dst]
+        elif up != down:
+            nodes = [src, up, t.agg[sp][i], down, dst]
+        else:
+            nodes = [src, up, dst]
+        return t.path_from_nodes(nodes)
 
 
 def fattree24(*, link_bps: float = mbps(100), link_delay: float = ms(1)) -> FatTree:

@@ -64,14 +64,11 @@ class Vl2(DcTopology):
                 self.add_duplex_link(agg, inter, fabric_bps, link_delay,
                                      "sw-sw", "sw-sw")
 
-    def paths(self, src_host: str, dst_host: str, max_paths: int) -> List[PathSpec]:
-        if src_host == dst_host:
-            raise ConfigurationError("src and dst must differ")
+    def _paths(self, src_host: str, dst_host: str, max_paths: int) -> List[PathSpec]:
         st, dt = self._host_tor[src_host], self._host_tor[dst_host]
-        out: List[PathSpec] = []
         if st == dt:
-            out.append(self.path_from_nodes([src_host, self.tors[st], dst_host]))
-            return out[:max_paths]
+            return [self.path_from_nodes([src_host, self.tors[st], dst_host])]
+        out: List[PathSpec] = []
         seen = set()
 
         def emit(nodes) -> bool:

@@ -144,7 +144,7 @@ def tiny_topology():
             self.add_duplex_link("a", "s", mbps(100), ms(2), "host-sw", "sw-host")
             self.add_duplex_link("s", "b", mbps(100), ms(2), "sw-host", "host-sw")
 
-        def paths(self, src, dst, n):
+        def _paths(self, src, dst, n):
             return [self.path_from_nodes([src, "s", dst])]
 
     return Pair()
@@ -208,7 +208,7 @@ class TestFluidNetwork:
                 self.add_host("a")
                 self.add_host("b")
 
-            def paths(self, src, dst, n):
+            def _paths(self, src, dst, n):
                 return []
 
         net = FluidNetwork(Disconnected())

@@ -183,7 +183,7 @@ class TestEc2:
 class TestBaseHelpers:
     def test_duplicate_link_rejected(self):
         class Tiny(DcTopology):
-            def paths(self, a, b, n):  # pragma: no cover
+            def _paths(self, a, b, n):  # pragma: no cover
                 return []
 
         t = Tiny()
@@ -195,7 +195,7 @@ class TestBaseHelpers:
 
     def test_link_id_missing(self):
         class Tiny(DcTopology):
-            def paths(self, a, b, n):  # pragma: no cover
+            def _paths(self, a, b, n):  # pragma: no cover
                 return []
 
         t = Tiny()
