@@ -16,8 +16,6 @@ from __future__ import annotations
 import gc
 import json
 
-import numpy as np
-
 import repro.obs as obs
 from repro.bench.runner import BenchContext, register
 from repro.obs.tracing import MONOTONIC_CLOCK
@@ -137,17 +135,12 @@ def packet_delack_churn():
 def fluid_fattree_step_batch():
     """1000 fluid-model steps over a k=8 fat-tree permutation workload
     (~500 subflows, 768 links); returns the subflow count."""
-    from repro.fluidsim import FluidNetwork, FluidSimulation
+    from repro.fluidsim import FluidSimulation, permutation_network
     from repro.topology import FatTree
     from repro.units import ms
-    from repro.workloads.permutation import random_permutation_pairs
 
-    topo = FatTree(8, link_delay=ms(1))
-    net = FluidNetwork(topo, path_seed=1)
-    for src, dst in random_permutation_pairs(topo.hosts,
-                                             np.random.default_rng(1)):
-        net.add_connection(src, dst, "lia", n_subflows=4)
-    net.finalize()
+    net = permutation_network(FatTree(8, link_delay=ms(1)), "lia",
+                              n_subflows=4, seed=1)
     sim = FluidSimulation(net, dt=0.004, seed=1)
     sim.run(4.0)
     return net.n_subflows
@@ -192,18 +185,12 @@ def fluid_largescale_network():
     fat-tree permutation with 8 subflows per connection (~3300 subflows,
     2592 links, routing density ~0.2%) — the regime the sparse routing
     kernels exist for."""
-    from repro.fluidsim import FluidNetwork
+    from repro.fluidsim import permutation_network
     from repro.topology import FatTree
     from repro.units import ms
-    from repro.workloads.permutation import random_permutation_pairs
 
-    topo = FatTree(12, link_delay=ms(1))
-    net = FluidNetwork(topo, path_seed=1)
-    for src, dst in random_permutation_pairs(topo.hosts,
-                                             np.random.default_rng(1)):
-        net.add_connection(src, dst, "lia", n_subflows=8)
-    net.finalize()
-    return net
+    return permutation_network(FatTree(12, link_delay=ms(1)), "lia",
+                               n_subflows=8, seed=1)
 
 
 def fluid_largescale_step_batch(net):
@@ -219,17 +206,12 @@ def fluid_largescale_step_batch(net):
 def fluid_step_kernel_setup():
     """Build and warm a small fluid sim (k=4 fat-tree) so a subsequent
     run measures the step kernel alone, not first-run buffer setup."""
-    from repro.fluidsim import FluidNetwork, FluidSimulation
+    from repro.fluidsim import FluidSimulation, permutation_network
     from repro.topology import FatTree
     from repro.units import ms
-    from repro.workloads.permutation import random_permutation_pairs
 
-    topo = FatTree(4, link_delay=ms(1))
-    net = FluidNetwork(topo, path_seed=1)
-    for src, dst in random_permutation_pairs(topo.hosts,
-                                             np.random.default_rng(1)):
-        net.add_connection(src, dst, "lia", n_subflows=4)
-    net.finalize()
+    net = permutation_network(FatTree(4, link_delay=ms(1)), "lia",
+                              n_subflows=4, seed=1)
     sim = FluidSimulation(net, dt=0.004, seed=1)
     sim.run(sim.dt)  # warm buffers and cohort views
     return sim
@@ -316,7 +298,7 @@ def fluid_k24_sharded(n_shards: int = 4, jobs: int = 4):
     from repro.fluidsim.sharding import run_sharded
 
     kwargs = dict(algorithm="lia", n_subflows=3, duration=0.4, dt=0.004,
-                  seed=1, dtype="float32", path_pool=8)
+                  seed=1, path_pool=8, params={"dtype": "float32"})
     t0 = _time.perf_counter()
     serial = run_sharded("fattree24", n_shards=n_shards, jobs=1, **kwargs)
     serial_s = _time.perf_counter() - t0

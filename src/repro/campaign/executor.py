@@ -33,7 +33,14 @@ import numpy as np
 
 import repro.obs as obs
 from repro.campaign.cache import ResultCache
-from repro.campaign.spec import SCHEMA_VERSION, RunSpec, build_topology
+from repro.campaign.spec import (
+    BUILD_PARAM_KEYS,
+    SCHEMA_VERSION,
+    SOLVER_PARAM_KEYS,
+    STEP_PARAM_KEYS,
+    RunSpec,
+    build_topology,
+)
 from repro.campaign.telemetry import CampaignTelemetry
 
 
@@ -55,52 +62,26 @@ def execute_run(spec: RunSpec, shard_jobs: int = 1) -> Dict[str, Any]:
     """
     if spec.engine in ("packet-batch", "packet-oracle"):
         return _execute_packet_run(spec)
-    if spec.engine == "fluid-equilibrium":
-        return _execute_equilibrium_run(spec)
-    if spec.engine != "fluid":  # pragma: no cover - guarded by RunSpec
-        raise ValueError(f"unsupported engine {spec.engine!r}")
     if "shards" in spec.params:
         return _execute_sharded_fluid_run(spec, shard_jobs)
-    from repro.fluidsim import FluidNetwork, FluidSimulation
-    from repro.workloads.permutation import random_permutation_pairs
+    return _execute_fluid_run(spec)
 
-    t0 = time.perf_counter()
-    # A private registry (not the ambient session's): each run's payload
-    # gets an isolated, mergeable snapshot even with jobs=1 inline runs.
-    registry = obs.MetricsRegistry()
-    topo = build_topology(spec.topology, link_delay=spec.link_delay)
-    net = FluidNetwork(topo, path_seed=spec.seed)
-    pairs = random_permutation_pairs(topo.hosts, np.random.default_rng(spec.seed))
-    for src, dst in pairs:
-        net.add_connection(src, dst, spec.algorithm, n_subflows=spec.n_subflows)
-    net.finalize()
-    sim = FluidSimulation(net, dt=spec.dt, seed=spec.seed, metrics=registry,
-                          **spec.params)
-    result = sim.run(spec.duration)
-    wall_s = time.perf_counter() - t0
 
-    snapshot = registry.snapshot()
-    metrics = {
-        "energy_per_gb": result.energy_per_gb(),
-        "aggregate_goodput_bps": result.aggregate_goodput_bps,
-        "host_energy_j": result.host_energy_j,
-        "switch_energy_j": result.switch_energy_j,
-        "total_energy_j": result.total_energy_j,
-        "delivered_bits": float(np.sum(result.connection_bits)),
-        "loss_events": int(np.sum(result.loss_events)),
-        "mean_rtt_s": float(np.mean(result.mean_rtt)),
-        "mean_utilization": float(np.mean(result.mean_utilization)),
-        "n_connections": len(net.connections),
-        "n_subflows_total": net.n_subflows,
-        "steps_taken": int(snapshot["engine.steps_taken"]),
-    }
+def _payload(spec: RunSpec, t0: float, metrics: Dict[str, Any],
+             obs_section: Dict[str, Any]) -> Dict[str, Any]:
+    """A run's payload; ``wall_s`` counts from ``t0``."""
     return {
         "schema_version": SCHEMA_VERSION,
         "spec_hash": spec.content_hash(),
         "metrics": metrics,
-        "wall_s": wall_s,
-        "obs": snapshot,
+        "wall_s": time.perf_counter() - t0,
+        "obs": obs_section,
     }
+
+
+def _params(spec: RunSpec, keys: Sequence[str]) -> Dict[str, Any]:
+    """The part of ``spec.params`` that one pipeline stage reads."""
+    return {k: spec.params[k] for k in keys if k in spec.params}
 
 
 def _execute_packet_run(spec: RunSpec) -> Dict[str, Any]:
@@ -133,7 +114,6 @@ def _execute_packet_run(spec: RunSpec) -> Dict[str, Any]:
     kwargs: Dict[str, Any] = {"metrics": registry} if engine_name == "batch" else {}
     engine = ENGINES[engine_name](scenario, **kwargs)
     result = engine.run().result()
-    wall_s = time.perf_counter() - t0
 
     snapshot = registry.snapshot()
     for name, value in engine.counters.items():
@@ -144,170 +124,121 @@ def _execute_packet_run(spec: RunSpec) -> Dict[str, Any]:
         **{f"total_{k}": v for k, v in result["totals"].items()},
         "connections": result["connections"],
     }
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "spec_hash": spec.content_hash(),
-        "metrics": metrics,
-        "wall_s": wall_s,
-        "obs": snapshot,
-    }
+    return _payload(spec, t0, metrics, snapshot)
 
 
-#: ``spec.params`` keys routed to :func:`solve_fluid_equilibrium`.
-_SOLVER_PARAM_KEYS = ("max_iter", "tol", "damping", "price_gain",
-                      "queue_ramp", "initial_price")
+def _execute_fluid_run(spec: RunSpec) -> Dict[str, Any]:
+    """The fluid pipeline: build the spec's permutation network once,
+    then step it (``fluid``) or solve its stationary state
+    (``fluid-equilibrium``); both summarize into the same metrics."""
+    from repro.fluidsim import permutation_network
+
+    t0 = time.perf_counter()
+    # A private registry (not the ambient session's): each run's payload
+    # gets an isolated, mergeable snapshot even with jobs=1 inline runs.
+    registry = obs.MetricsRegistry()
+    topo = build_topology(spec.topology, link_delay=spec.link_delay)
+    net = permutation_network(topo, spec.algorithm, n_subflows=spec.n_subflows,
+                              seed=spec.seed, **_params(spec, BUILD_PARAM_KEYS))
+    if spec.engine == "fluid":
+        metrics = _step(spec, net, registry)
+    else:
+        metrics = _solve(spec, net, registry)
+    return _payload(spec, t0, metrics, registry.snapshot())
 
 
-def _execute_equilibrium_run(spec: RunSpec) -> Dict[str, Any]:
-    """Solve a fluid spec's stationary state directly (no integration).
+def _step(spec: RunSpec, net, registry: obs.MetricsRegistry) -> Dict[str, Any]:
+    """Integrate ``net`` for ``spec.duration`` and summarize the run."""
+    from repro.fluidsim import FluidSimulation, summarize_run
 
-    Produces the same ``metrics`` keys as a time-stepped fluid run —
-    energies come from the shared :class:`PowerEvaluator` arithmetic
-    held at the equilibrium point for ``spec.duration`` — plus a
-    ``solver`` sub-dict with convergence diagnostics.  Unsupported
-    algorithms (wVegas, DCTCP, extended DTS) and non-converged solves
-    fall back to the time-stepped engine; the ``solver`` entry records
-    why.
+    sim = FluidSimulation(net, dt=spec.dt, seed=spec.seed, metrics=registry,
+                          **_params(spec, STEP_PARAM_KEYS))
+    return summarize_run(net, sim.run(spec.duration), sim.steps_taken)
+
+
+def _solve(spec: RunSpec, net, registry: obs.MetricsRegistry) -> Dict[str, Any]:
+    """Solve ``net``'s stationary state directly (no integration).
+
+    Energies come from the shared :class:`PowerEvaluator` arithmetic
+    held at the equilibrium point for ``spec.duration``; a ``solver``
+    entry carries convergence diagnostics.  Unsupported algorithms
+    (wVegas, DCTCP, extended DTS) and non-converged solves fall back to
+    :func:`_step` on the same network; ``solver`` records why.
     """
     from repro.energy.cpu import default_wired_host
     from repro.energy.switch import SwitchPowerModel
     from repro.errors import EquilibriumError
-    from repro.fluidsim import (FluidNetwork, FluidSimulation, PowerEvaluator,
-                                solve_fluid_equilibrium)
-    from repro.workloads.permutation import random_permutation_pairs
+    from repro.fluidsim import PowerEvaluator, fluid_metrics, solve_fluid_equilibrium
 
-    t0 = time.perf_counter()
-    registry = obs.MetricsRegistry()
-    topo = build_topology(spec.topology, link_delay=spec.link_delay)
-    net = FluidNetwork(topo, path_seed=spec.seed)
-    pairs = random_permutation_pairs(topo.hosts, np.random.default_rng(spec.seed))
-    params = dict(spec.params)
-    solver_kwargs = {k: params.pop(k) for k in _SOLVER_PARAM_KEYS if k in params}
-    for src, dst in pairs:
-        net.add_connection(src, dst, spec.algorithm, n_subflows=spec.n_subflows)
-    net.finalize()
-
-    fallback_reason = None
-    eq = None
     try:
-        eq = solve_fluid_equilibrium(net, **solver_kwargs)
-        if not eq.converged:
-            fallback_reason = (f"solver stalled at residual {eq.residual:.3g} "
-                               f"after {eq.iterations} iterations")
+        eq = solve_fluid_equilibrium(net, **_params(spec, SOLVER_PARAM_KEYS))
+        reason = None if eq.converged else (
+            f"solver stalled at residual {eq.residual:.3g} "
+            f"after {eq.iterations} iterations")
     except EquilibriumError as exc:
-        fallback_reason = str(exc)
+        reason = str(exc)
+    if reason is not None:
+        return {**_step(spec, net, registry),
+                "solver": {"fallback": True, "reason": reason}}
 
-    if fallback_reason is not None:
-        sim = FluidSimulation(net, dt=spec.dt, seed=spec.seed,
-                              metrics=registry, **params)
-        result = sim.run(spec.duration)
-        snapshot = registry.snapshot()
-        metrics = {
-            "energy_per_gb": result.energy_per_gb(),
-            "aggregate_goodput_bps": result.aggregate_goodput_bps,
-            "host_energy_j": result.host_energy_j,
-            "switch_energy_j": result.switch_energy_j,
-            "total_energy_j": result.total_energy_j,
-            "delivered_bits": float(np.sum(result.connection_bits)),
-            "loss_events": int(np.sum(result.loss_events)),
-            "mean_rtt_s": float(np.mean(result.mean_rtt)),
-            "mean_utilization": float(np.mean(result.mean_utilization)),
-            "n_connections": len(net.connections),
-            "n_subflows_total": net.n_subflows,
-            "steps_taken": int(snapshot["engine.steps_taken"]),
-            "solver": {"fallback": True, "reason": fallback_reason},
-        }
-    else:
-        power = PowerEvaluator(net, default_wired_host(), SwitchPowerModel())
-        x_bps = eq.x_pkts * net.packet_bits
-        host_p = power.host_power_now(x_bps, eq.rtt)
-        switch_p = power.switch_power_now(eq.link_utilization)
-        host_energy = host_p * spec.duration
-        switch_energy = switch_p * spec.duration
-        delivered_bits = eq.aggregate_goodput_bps * spec.duration
-        # Expected loss-event count under the engine's one-per-RTT
-        # suppression (the renewal-process rate the solver balances).
-        lam = eq.p_path * eq.x_pkts
-        eff_rate = lam / (1.0 + lam * eq.rtt)
-        delivered_gb = delivered_bits / 8e9
-        metrics = {
-            "energy_per_gb": ((host_energy + switch_energy) / delivered_gb
-                              if delivered_gb > 0 else float("inf")),
-            "aggregate_goodput_bps": eq.aggregate_goodput_bps,
-            "host_energy_j": host_energy,
-            "switch_energy_j": switch_energy,
-            "total_energy_j": host_energy + switch_energy,
-            "delivered_bits": delivered_bits,
-            "loss_events": int(np.sum(eff_rate) * spec.duration),
-            "mean_rtt_s": float(np.mean(eq.rtt)),
-            "mean_utilization": float(np.mean(eq.link_utilization)),
-            "n_connections": len(net.connections),
-            "n_subflows_total": net.n_subflows,
-            "steps_taken": 0,
-            "solver": {
-                "fallback": False,
-                "converged": True,
-                "iterations": eq.iterations,
-                "residual": eq.residual,
-            },
-        }
-        snapshot = registry.snapshot()
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "spec_hash": spec.content_hash(),
-        "metrics": metrics,
-        "wall_s": time.perf_counter() - t0,
-        "obs": snapshot,
-    }
+    power = PowerEvaluator(net, default_wired_host(), SwitchPowerModel())
+    host_p = power.host_power_now(eq.x_pkts * net.packet_bits, eq.rtt)
+    switch_p = power.switch_power_now(eq.link_utilization)
+    # Expected loss-event count under the engine's one-per-RTT
+    # suppression (the renewal-process rate the solver balances).
+    lam = eq.p_path * eq.x_pkts
+    eff_rate = lam / (1.0 + lam * eq.rtt)
+    metrics = fluid_metrics(
+        host_energy_j=host_p * spec.duration,
+        switch_energy_j=switch_p * spec.duration,
+        delivered_bits=eq.aggregate_goodput_bps * spec.duration,
+        aggregate_goodput_bps=eq.aggregate_goodput_bps,
+        loss_events=int(np.sum(eff_rate) * spec.duration),
+        mean_rtt_s=float(np.mean(eq.rtt)),
+        mean_utilization=float(np.mean(eq.link_utilization)),
+        n_connections=len(net.connections),
+        n_subflows_total=net.n_subflows,
+        steps_taken=0,
+    )
+    metrics["solver"] = {"fallback": False, "converged": True,
+                         "iterations": eq.iterations, "residual": eq.residual}
+    return metrics
 
 
 def _execute_sharded_fluid_run(spec: RunSpec, shard_jobs: int) -> Dict[str, Any]:
     """Step ``spec.params['shards']`` independent fabric replicas and
-    merge them (see :mod:`repro.fluidsim.sharding`).
+    merge them (see :mod:`repro.fluidsim.sharding`): the fluid pipeline
+    run once per shard, at derived seeds.
 
     Shard fan-out parallelism comes from ``shard_jobs`` (an execution
     detail, not a spec field); the metrics are byte-identical at any
     ``shard_jobs`` value.
     """
-    from repro.errors import ConfigurationError
+    from repro.fluidsim import fluid_metrics
     from repro.fluidsim.sharding import run_sharded
 
     t0 = time.perf_counter()
-    params = dict(spec.params)
-    n_shards = int(params.pop("shards"))
-    kwargs = {k: params.pop(k)
-              for k in ("dtype", "path_pool", "initial_window")
-              if k in params}
-    if params:
-        raise ConfigurationError(
-            f"unsupported params for a sharded fluid run: {sorted(params)}")
     result = run_sharded(
-        spec.topology, n_shards=n_shards, jobs=shard_jobs,
+        spec.topology, n_shards=int(spec.params["shards"]), jobs=shard_jobs,
         algorithm=spec.algorithm, n_subflows=spec.n_subflows,
         duration=spec.duration, dt=spec.dt, seed=spec.seed,
-        link_delay=spec.link_delay, **kwargs)
-    metrics = {
-        "energy_per_gb": result.energy_per_gb(),
-        "aggregate_goodput_bps": result.aggregate_goodput_bps,
-        "host_energy_j": result.host_energy_j,
-        "switch_energy_j": result.switch_energy_j,
-        "total_energy_j": result.total_energy_j,
-        "delivered_bits": result.delivered_bits,
-        "loss_events": result.loss_events,
-        "mean_rtt_s": result.mean_rtt_s,
-        "mean_utilization": result.mean_utilization,
-        "n_connections": result.n_connections,
-        "n_subflows_total": result.n_subflows,
-        "steps_taken": result.steps_taken,
-        "n_shards": result.n_shards,
-    }
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "spec_hash": spec.content_hash(),
-        "metrics": metrics,
-        "wall_s": time.perf_counter() - t0,
-        "obs": {"shard_wall_s": list(result.shard_wall_s)},
-    }
+        link_delay=spec.link_delay, params=_params(spec, STEP_PARAM_KEYS),
+        **_params(spec, BUILD_PARAM_KEYS))
+    metrics = fluid_metrics(
+        host_energy_j=result.host_energy_j,
+        switch_energy_j=result.switch_energy_j,
+        delivered_bits=result.delivered_bits,
+        aggregate_goodput_bps=result.aggregate_goodput_bps,
+        loss_events=result.loss_events,
+        mean_rtt_s=result.mean_rtt_s,
+        mean_utilization=result.mean_utilization,
+        n_connections=result.n_connections,
+        n_subflows_total=result.n_subflows,
+        steps_taken=result.steps_taken,
+    )
+    metrics["n_shards"] = result.n_shards
+    return _payload(spec, t0, metrics,
+                    {"shard_wall_s": list(result.shard_wall_s)})
 
 
 def _traced_run(run_fn: Callable[[RunSpec], Dict[str, Any]],

@@ -60,6 +60,24 @@ KNOWN_WORKLOADS = ("permutation",)
 #: hash, so new engines never collide with cached fluid runs.
 KNOWN_ENGINES = ("fluid", "fluid-equilibrium", "packet-batch", "packet-oracle")
 
+#: ``params`` keys of a fluid run, by the pipeline stage that reads them:
+#: the network builder, the time-stepped engine (the JSON-able
+#: :class:`~repro.fluidsim.FluidSimulation` knobs; an equilibrium run
+#: steps only when it falls back) and the equilibrium solver.
+BUILD_PARAM_KEYS = ("path_pool",)
+STEP_PARAM_KEYS = ("dtype", "initial_window", "fast_path", "sparse_routing",
+                   "energy_sample_every", "ecn_threshold_packets")
+SOLVER_PARAM_KEYS = ("max_iter", "tol", "damping", "price_gain",
+                     "queue_ramp", "initial_price")
+
+#: ``params`` keys each fluid engine accepts; others are rejected when
+#: the spec is made.  The packet engines pass theirs on to
+#: :func:`repro.net.batch.ec2_scenario` as keyword arguments.
+ENGINE_PARAM_KEYS = {
+    "fluid": BUILD_PARAM_KEYS + STEP_PARAM_KEYS + ("shards",),
+    "fluid-equilibrium": BUILD_PARAM_KEYS + STEP_PARAM_KEYS + SOLVER_PARAM_KEYS,
+}
+
 
 def build_topology(name: str, link_delay: float = ms(1)):
     """Construct the canonical topology instance for a spec's name.
@@ -97,8 +115,8 @@ class RunSpec:
     dt: float = 0.004
     link_delay: float = ms(1)
     engine: str = "fluid"
-    #: Free-form engine parameters (must be JSON-serializable); reserved
-    #: for knobs like ``initial_window`` without a schema change.
+    #: Engine knobs (JSON-serializable); a fluid engine accepts only the
+    #: keys :data:`ENGINE_PARAM_KEYS` lists for it.
     params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -126,6 +144,13 @@ class RunSpec:
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
         if self.link_delay <= 0:
             raise ConfigurationError(f"link_delay must be positive, got {self.link_delay}")
+        accepted = ENGINE_PARAM_KEYS.get(self.engine)
+        if accepted is not None:
+            unknown = sorted(set(self.params) - set(accepted))
+            if unknown:
+                raise ConfigurationError(
+                    f"engine {self.engine!r} does not take params {unknown} "
+                    f"(accepted: {', '.join(accepted)})")
 
     # -------------------------------------------------------- serialization
 

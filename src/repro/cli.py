@@ -244,9 +244,9 @@ def build_sweep_parser() -> argparse.ArgumentParser:
                              "float32 for very large subflow populations)")
     parser.add_argument("--path-pool", type=_positive_int, default=None,
                         metavar="K",
-                        help="ECMP paths sampled per connection on sharded "
-                             "fluid runs (default: 64; lower it to speed up "
-                             "building k=24/k=32 fabrics)")
+                        help="ECMP paths sampled per connection on the "
+                             "fluid engines (default: 64; lower it to speed "
+                             "up building k=24/k=32 fabrics)")
     _add_campaign_options(parser)
     return parser
 
@@ -427,11 +427,9 @@ def _sweep_main(argv: List[str]) -> int:
                         "--shards applies to the time-stepped fluid engine "
                         f"only, not {args.engine!r}")
                 params["shards"] = args.shards
-                if args.path_pool is not None:
-                    params["path_pool"] = args.path_pool
-                if args.dtype is not None:
-                    params["dtype"] = args.dtype
-            elif args.dtype is not None:
+            if args.path_pool is not None:
+                params["path_pool"] = args.path_pool
+            if args.dtype is not None:
                 params["dtype"] = args.dtype
             kwargs = {"algorithm": args.algorithm, "engine": args.engine,
                       "link_delay": ms(args.link_delay_ms), "params": params}

@@ -12,12 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.analysis.report import format_table
-from repro.fluidsim import FluidNetwork, FluidSimulation
+from repro.fluidsim import FluidSimulation, permutation_network
 from repro.topology.ec2 import Ec2Cloud
-from repro.workloads.permutation import random_permutation_pairs
 
 #: (label, algorithm, subflows) triples of the paper's Fig. 10.
 FIG10_CONFIGS = [
@@ -66,12 +63,8 @@ def run(
     """
     rows: List[Fig10Row] = []
     for label, algorithm, n_subflows in (configs or FIG10_CONFIGS):
-        topo = Ec2Cloud(n_hosts=n_hosts)
-        net = FluidNetwork(topo, path_seed=seed)
-        pairs = random_permutation_pairs(topo.hosts, np.random.default_rng(seed))
-        for src, dst in pairs:
-            net.add_connection(src, dst, algorithm, n_subflows=n_subflows)
-        net.finalize()
+        net = permutation_network(Ec2Cloud(n_hosts=n_hosts), algorithm,
+                                  n_subflows=n_subflows, seed=seed)
         sim = FluidSimulation(net, dt=dt, seed=seed)
         res = sim.run(duration)
         rows.append(

@@ -14,13 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from repro.analysis.report import format_table
 from repro.energy.switch import SwitchPowerModel
 from repro.experiments.fig12_14_subflows import default_topology
-from repro.fluidsim import FluidNetwork, FluidSimulation
-from repro.workloads.permutation import random_permutation_pairs
+from repro.fluidsim import FluidSimulation, permutation_network
 
 FIG15_ALGORITHMS = ["lia", "dts", "dts-ext"]
 
@@ -83,18 +80,11 @@ def run(
         for alg in algs:
             e_gb, goodput, e_host, e_switch, losses = [], [], [], [], []
             for seed in seed_list:
-                topo = default_topology(topo_name)
-                net = FluidNetwork(topo, path_seed=seed)
-                pairs = random_permutation_pairs(
-                    topo.hosts, np.random.default_rng(seed)
+                net = permutation_network(
+                    default_topology(topo_name), alg, n_subflows=n_subflows,
+                    seed=seed,
+                    algorithm_kwargs={"kappa": kappa} if alg == "dts-ext" else None,
                 )
-                kwargs = {"kappa": kappa} if alg == "dts-ext" else None
-                for src, dst in pairs:
-                    net.add_connection(
-                        src, dst, alg, n_subflows=n_subflows,
-                        algorithm_kwargs=kwargs,
-                    )
-                net.finalize()
                 sim = FluidSimulation(
                     net, dt=dt, seed=seed, switch_power=proportional_switch_model()
                 )

@@ -23,13 +23,19 @@ Two scale levers sit alongside the stepping engine:
 """
 
 from repro.fluidsim.adapters import FluidAlgorithm, create_fluid_algorithm, fluid_algorithm_names
-from repro.fluidsim.engine import FluidSimulation, PowerEvaluator, SimulationResult
+from repro.fluidsim.engine import (
+    FluidSimulation,
+    PowerEvaluator,
+    SimulationResult,
+    fluid_metrics,
+    summarize_run,
+)
 from repro.fluidsim.equilibrium import (
     FluidEquilibrium,
     equilibrium_supported,
     solve_fluid_equilibrium,
 )
-from repro.fluidsim.network import FluidConnection, FluidNetwork
+from repro.fluidsim.network import FluidConnection, FluidNetwork, permutation_network
 from repro.fluidsim.sharding import (
     ShardedResult,
     ShardSpec,
@@ -52,9 +58,12 @@ __all__ = [
     "create_fluid_algorithm",
     "equilibrium_supported",
     "fluid_algorithm_names",
+    "fluid_metrics",
     "make_shard_specs",
     "merge_shard_payloads",
+    "permutation_network",
     "run_sharded",
     "simulate_shard",
     "solve_fluid_equilibrium",
+    "summarize_run",
 ]

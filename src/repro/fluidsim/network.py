@@ -346,3 +346,32 @@ class FluidNetwork:
                 )
             self._compute_cache[dtype] = cached
         return cached
+
+
+def permutation_network(
+    topology: DcTopology,
+    algorithm: str,
+    *,
+    n_subflows: int,
+    seed: int,
+    path_pool: int = 64,
+    algorithm_kwargs: Optional[dict] = None,
+) -> FluidNetwork:
+    """The workload of the paper's Figs. 10 and 12-16, finalized: every
+    host of ``topology`` sends one long-lived ``algorithm`` connection to
+    a distinct random other host.
+
+    ``seed`` draws both the host pairing and the ECMP path choice, the
+    only randomness a fluid scenario has before stepping.
+    """
+    # Lazy: no fluidsim module imports the workloads package at load time.
+    from repro.workloads.permutation import random_permutation_pairs
+
+    net = FluidNetwork(topology, path_seed=seed)
+    for src, dst in random_permutation_pairs(topology.hosts,
+                                             np.random.default_rng(seed)):
+        net.add_connection(src, dst, algorithm, n_subflows=n_subflows,
+                           algorithm_kwargs=algorithm_kwargs,
+                           path_pool=path_pool)
+    net.finalize()
+    return net

@@ -26,12 +26,15 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+import repro.obs as obs
 from repro.errors import ConfigurationError
+from repro.fluidsim.engine import FluidSimulation, joules_per_gb, summarize_run
+from repro.fluidsim.network import permutation_network
 from repro.units import ms
 
 #: Multiplier folding the shard index into the base seed.  Prime and
@@ -53,9 +56,10 @@ class ShardSpec:
     shard_index: int
     n_shards: int
     link_delay: float = ms(1)
-    dtype: str = "auto"
     path_pool: int = 64
-    initial_window: float = 10.0
+    #: Stepping knobs passed to :class:`FluidSimulation` (``dtype``,
+    #: ``fast_path``, ...), the same ones an unsharded run takes.
+    params: Mapping[str, Any] = field(default_factory=dict)
 
     @property
     def shard_seed(self) -> int:
@@ -67,50 +71,29 @@ def simulate_shard(spec: ShardSpec) -> Dict[str, Any]:
     """Build and step one shard; the pool's worker function.
 
     Derives everything from the spec (module-level so the pool can
-    pickle it) and returns a JSON-serializable summary — the arrays a
+    pickle it) and returns the shard's :func:`summarize_run` metrics
+    plus ``n_links``, ``shard_index`` and ``wall_s`` — the arrays a
     merged result needs are already reduced here so only scalars cross
     the process boundary.
     """
-    # Lazy: campaign.spec imports nothing from fluidsim, but keeping the
-    # import local avoids making the fluid package depend on the
-    # campaign layer at import time.
-    import repro.obs as obs
+    # Lazy: keeps the fluid package free of the campaign layer at
+    # import time.
     from repro.campaign.spec import build_topology
-    from repro.fluidsim.engine import FluidSimulation
-    from repro.fluidsim.network import FluidNetwork
-    from repro.workloads.permutation import random_permutation_pairs
 
     t0 = time.perf_counter()
     topo = build_topology(spec.topology, link_delay=spec.link_delay)
-    net = FluidNetwork(topo, path_seed=spec.shard_seed)
-    pairs = random_permutation_pairs(
-        topo.hosts, np.random.default_rng(spec.shard_seed))
-    for src, dst in pairs:
-        net.add_connection(src, dst, spec.algorithm,
-                           n_subflows=spec.n_subflows,
-                           path_pool=spec.path_pool)
-    net.finalize()
+    net = permutation_network(topo, spec.algorithm, n_subflows=spec.n_subflows,
+                              seed=spec.shard_seed, path_pool=spec.path_pool)
     # A private registry: shards sharing an ambient obs session (or
     # forked from one) must not accumulate each other's engine counters
     # into their payloads.
     sim = FluidSimulation(net, dt=spec.dt, seed=spec.shard_seed,
-                          dtype=spec.dtype,
-                          initial_window=spec.initial_window,
-                          metrics=obs.MetricsRegistry())
+                          metrics=obs.MetricsRegistry(), **spec.params)
     result = sim.run(spec.duration)
     return {
-        "shard_index": spec.shard_index,
-        "n_subflows": net.n_subflows,
-        "n_connections": len(net.connections),
+        **summarize_run(net, result, sim.steps_taken),
         "n_links": net.n_links,
-        "aggregate_goodput_bps": result.aggregate_goodput_bps,
-        "delivered_bits": float(np.sum(result.connection_bits)),
-        "host_energy_j": result.host_energy_j,
-        "switch_energy_j": result.switch_energy_j,
-        "loss_events": int(np.sum(result.loss_events)),
-        "mean_rtt_s": float(np.mean(result.mean_rtt)),
-        "mean_utilization": float(np.mean(result.mean_utilization)),
-        "steps_taken": sim.steps_taken,
+        "shard_index": spec.shard_index,
         "wall_s": time.perf_counter() - t0,
     }
 
@@ -141,10 +124,7 @@ class ShardedResult:
 
     def energy_per_gb(self) -> float:
         """Joules per delivered decimal gigabyte over all shards."""
-        delivered_gb = self.delivered_bits / 8e9
-        if delivered_gb <= 0:
-            return float("inf")
-        return self.total_energy_j / delivered_gb
+        return joules_per_gb(self.total_energy_j, self.delivered_bits)
 
 
 def make_shard_specs(
@@ -157,9 +137,8 @@ def make_shard_specs(
     dt: float = 0.004,
     seed: int = 1,
     link_delay: float = ms(1),
-    dtype: str = "auto",
     path_pool: int = 64,
-    initial_window: float = 10.0,
+    params: Optional[Mapping[str, Any]] = None,
 ) -> List[ShardSpec]:
     """The shard specs of one sharded run, shard order."""
     if n_shards < 1:
@@ -168,8 +147,8 @@ def make_shard_specs(
         ShardSpec(
             topology=topology, algorithm=algorithm, n_subflows=n_subflows,
             duration=duration, dt=dt, seed=seed, shard_index=i,
-            n_shards=n_shards, link_delay=link_delay, dtype=dtype,
-            path_pool=path_pool, initial_window=initial_window)
+            n_shards=n_shards, link_delay=link_delay, path_pool=path_pool,
+            params=dict(params or {}))
         for i in range(n_shards)
     ]
 
@@ -182,7 +161,7 @@ def merge_shard_payloads(payloads: Sequence[Dict[str, Any]]) -> ShardedResult:
     """
     if not payloads:
         raise ConfigurationError("cannot merge zero shard payloads")
-    subflows = np.array([p["n_subflows"] for p in payloads], dtype=float)
+    subflows = np.array([p["n_subflows_total"] for p in payloads], dtype=float)
     links = np.array([p["n_links"] for p in payloads], dtype=float)
     rtts = np.array([p["mean_rtt_s"] for p in payloads])
     utils = np.array([p["mean_utilization"] for p in payloads])

@@ -1,5 +1,6 @@
 """Campaign subsystem: specs, cache, executor, telemetry."""
 
+import functools
 import json
 import os
 import subprocess
@@ -207,8 +208,8 @@ def _failing_run(spec):
             "wall_s": 0.0}
 
 
-def _flaky_run(spec):
-    flag = Path(spec.params["flag"])
+def _flaky_run(flag_path, spec):
+    flag = Path(flag_path)
     if not flag.exists():
         flag.touch()
         raise RuntimeError("first attempt always fails")
@@ -231,8 +232,9 @@ def test_raising_worker_is_retried_then_reported(jobs):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_retry_recovers_a_flaky_worker(tmp_path, jobs):
-    spec = RunSpec(seed=5, params={"flag": str(tmp_path / f"flag{jobs}")}, **FAST)
-    outcomes = CampaignExecutor(jobs=jobs, run_fn=_flaky_run).run([spec])
+    spec = RunSpec(seed=5, **FAST)
+    run_fn = functools.partial(_flaky_run, str(tmp_path / f"flag{jobs}"))
+    outcomes = CampaignExecutor(jobs=jobs, run_fn=run_fn).run([spec])
     assert outcomes[0].ok
     assert outcomes[0].attempts == 2
 
@@ -250,8 +252,8 @@ def test_run_timeout_reports_failure():
     assert "timed out" in outcomes[0].error
 
 
-def _counting_run(spec):
-    counter = Path(spec.params["counter"])
+def _counting_run(counter_path, spec):
+    counter = Path(counter_path)
     counter.write_text(str(int(counter.read_text() or "0") + 1)
                        if counter.exists() else "1", encoding="utf-8")
     return {"spec_hash": spec.content_hash(), "metrics": {"seed": spec.seed},
@@ -260,8 +262,9 @@ def _counting_run(spec):
 
 def test_executor_uses_cache_on_second_campaign(tmp_path):
     cache = ResultCache(tmp_path / "cache")
-    spec = RunSpec(seed=3, params={"counter": str(tmp_path / "n")}, **FAST)
-    ex = CampaignExecutor(jobs=1, cache=cache, run_fn=_counting_run)
+    spec = RunSpec(seed=3, **FAST)
+    ex = CampaignExecutor(jobs=1, cache=cache, run_fn=functools.partial(
+        _counting_run, str(tmp_path / "n")))
     first = ex.run([spec])
     second = ex.run([spec])
     assert first[0].ok and not first[0].cached

@@ -70,7 +70,7 @@ def test_shard_spec_is_frozen_and_orderable():
 def test_merge_arithmetic_by_hand():
     def payload(i, subflows, links, rtt, util):
         return {
-            "shard_index": i, "n_subflows": subflows, "n_connections": 8,
+            "shard_index": i, "n_subflows_total": subflows, "n_connections": 8,
             "n_links": links, "aggregate_goodput_bps": 1e9,
             "delivered_bits": 8e9, "host_energy_j": 10.0,
             "switch_energy_j": 5.0, "loss_events": 3, "mean_rtt_s": rtt,
@@ -103,7 +103,7 @@ def test_merge_rejects_empty():
 
 
 def test_energy_per_gb_with_nothing_delivered_is_inf():
-    base = {"shard_index": 0, "n_subflows": 1, "n_connections": 1,
+    base = {"shard_index": 0, "n_subflows_total": 1, "n_connections": 1,
             "n_links": 1, "aggregate_goodput_bps": 0.0,
             "delivered_bits": 0.0, "host_energy_j": 1.0,
             "switch_energy_j": 1.0, "loss_events": 0, "mean_rtt_s": 0.01,
@@ -122,7 +122,7 @@ def test_serial_and_pooled_sharded_runs_are_identical():
     assert serial.aggregate_goodput_bps > 0
     # Two replicas of the same fabric: exactly twice one shard's subflows.
     one = simulate_shard(make_shard_specs("bcube", n_shards=2, **FAST)[0])
-    assert serial.n_subflows == 2 * one["n_subflows"]
+    assert serial.n_subflows == 2 * one["n_subflows_total"]
 
 
 def test_run_sharded_accepts_caller_pool():
@@ -170,10 +170,10 @@ def test_executor_sharded_fluid_run():
 
 
 def test_executor_sharded_run_rejects_unknown_params():
-    spec = RunSpec(topology="bcube", n_subflows=1, seed=1, duration=0.1,
-                   dt=0.01, params={"shards": 2, "bogus": 1})
     with pytest.raises(ConfigurationError, match="bogus"):
-        execute_run(spec)
+        execute_run(RunSpec(topology="bcube", n_subflows=1, seed=1,
+                            duration=0.1, dt=0.01,
+                            params={"shards": 2, "bogus": 1}))
 
 
 def test_executor_equilibrium_run_metrics_parity():
